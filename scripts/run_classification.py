@@ -18,7 +18,7 @@ import json
 import sys
 import time
 
-from typea_irreps.dim_classifier import enumerate_small_irreducibles, verify_tables
+from typea_irreps.dim_classifier import verify_tables
 
 
 def parse_int_list(text):
@@ -36,8 +36,8 @@ def parse_int_list(text):
 
 def run_cell(l, p, s):
     t0 = time.time()
-    report = enumerate_small_irreducibles(l, p, s)
     check = verify_tables(l, p, s)
+    report = check.report
     elapsed = time.time() - t0
     return {
         "rank": l,

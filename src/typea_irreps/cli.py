@@ -31,7 +31,12 @@ from .tensor_constructions import (
     contraction_kernel_dim,
     young_symmetrizer_module,
 )
-from .verma_gram import DEFAULT_MONOMIAL_CAP, ResourceExceeded, irreducible_multiplicity
+from .verma_gram import (
+    DEFAULT_MONOMIAL_CAP,
+    ResourceExceeded,
+    irreducible_multiplicity,
+    require_prime,
+)
 from .weyl_orbits import orbit_size
 
 CONSTRUCT_NAMES = ("l1l2", "l1llm1", "2l1ll")
@@ -40,17 +45,6 @@ _CONFIG_KEYS = ("strategy", "cap_monomials", "cap_tensor_rank", "threads")
 
 class _CliError(Exception):
     pass
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _build_parser():
@@ -145,8 +139,11 @@ def _resolve(args, young=False):
 def _check_rank_char(args, char=True):
     if args.rank < 1:
         raise _CliError("rank must be at least 1")
-    if char and not _is_prime(args.char):
-        raise _CliError("characteristic %d is not prime" % args.char)
+    if char:
+        try:
+            require_prime(args.char)
+        except ValueError as e:
+            raise _CliError(str(e))
 
 
 def _parse(args, text):

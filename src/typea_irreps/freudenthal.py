@@ -3,7 +3,7 @@ plus the Weyl dimension formula as an independent cross-check.
 
 All arithmetic is on integer epsilon rows normalized to a common
 coordinate total, so the recursion never touches rationals until the
-final exact division (whose integrality is asserted).
+final exact division, which raises ArithmeticError if it leaves a remainder.
 """
 
 from __future__ import annotations
@@ -50,7 +50,9 @@ def _freudenthal_table(lam):
             continue
         mu_shift = [a + b for a, b in zip(row, rho_eps)]
         denom = lam_norm - sum(x * x for x in mu_shift)
-        assert denom > 0, (lam, row)
+        if denom <= 0:
+            raise ArithmeticError("Freudenthal denominator %d at %r, %r"
+                                  % (denom, lam, row))
         total = 0
         for i, j in roots:
             k = 1
@@ -63,7 +65,9 @@ def _freudenthal_table(lam):
                     break
                 total += mult * (shifted[i] - shifted[j])
                 k += 1
-        assert (2 * total) % denom == 0, (lam, row)
+        if (2 * total) % denom:
+            raise ArithmeticError("Freudenthal multiplicity not integral at %r, %r"
+                                  % (lam, row))
         table[row] = (2 * total) // denom
     _TABLES[lam] = table
     return table
@@ -101,7 +105,8 @@ def weyl_dimension(lam):
         for j in range(i, l):
             acc += lam[j]
             out *= Fraction(acc + j - i + 1, j - i + 1)
-    assert out.denominator == 1
+    if out.denominator != 1:
+        raise ArithmeticError("Weyl dimension of %r not integral: %s" % (lam, out))
     return int(out)
 
 

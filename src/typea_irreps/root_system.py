@@ -65,24 +65,6 @@ def epsilon_coordinates(weight):
     return tuple(out)
 
 
-def root_epsilon(root, l):
-    """Positive root (i, j) as the epsilon vector e_i - e_{j+1}."""
-    i, j = root
-    out = [0] * (l + 1)
-    out[i - 1] = 1
-    out[j] = -1
-    return tuple(out)
-
-
-def inner_product(x, y):
-    """Dot product in epsilon coordinates.
-
-    Exact for the invariant form whenever one argument has coordinate sum
-    zero (any root-lattice element); used only in that regime.
-    """
-    return sum(a * b for a, b in zip(x, y))
-
-
 def root_coordinates(lam, mu):
     """lam - mu in the simple-root basis, or None when that difference is
     not a non-negative integral combination of simple roots.

@@ -11,10 +11,10 @@ Gram matrix; the test suite cross-checks them.
 
 The multiplicity of mu in the irreducible head of the Weyl module is
 the rank mod p of the Gram matrix of the full spanning set.  Large
-weight spaces never materialize that matrix: the form factors through a
-row-echelon basis of the realization vectors, so the rank computation
-stays polynomial in the weight-space dimension rather than in the
-number of monomials.
+weight spaces never materialize that matrix: the exact realization
+vectors are reduced mod p into a sparse row-echelon basis on their own
+support, and the form factors through that basis, so the final rank is
+taken on at most dim(weight space) rows rather than one per monomial.
 
 Chevalley basis: e_(i,j) is the elementary matrix E_{i,j+1}, f_(i,j) is
 E_{j+1,i}, and coroots are the commutators; every sign below comes from
@@ -24,9 +24,7 @@ those matrices.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,7 +32,11 @@ from .root_system import epsilon_coordinates, positive_roots, root_coordinates
 
 DEFAULT_MONOMIAL_CAP = 20000
 _DENSE_CAP = 4000
-_OVERFLOW_LIMIT = 1 << 60
+
+# Miller-Rabin with the first twelve primes as bases is deterministic
+# below this bound (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_BOUND = 3317044064679887385961981
 
 
 class ResourceExceeded(Exception):
@@ -45,14 +47,29 @@ class ResourceExceeded(Exception):
         self.blocking = blocking
 
 
-def _require_prime(p):
+def require_prime(p):
+    """Raise ValueError unless p is a prime below PRIME_BOUND."""
     if not isinstance(p, int) or p < 2:
         raise ValueError("characteristic must be a prime, got %r" % (p,))
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= PRIME_BOUND:
+        raise ValueError("cannot tell whether characteristic %d is prime: the "
+                         "test is deterministic only below %d" % (p, PRIME_BOUND))
+    if p in _PRIME_BASES:
+        return
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             raise ValueError("characteristic must be a prime, got %r" % (p,))
-        d += 1
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +190,6 @@ def _bracket_ef(alpha, beta):
     return None
 
 
-def _bracket_ff(beta1, beta2):
-    """[f_beta1, f_beta2] as (gamma, sign) or None."""
-    i, j = beta1
-    i2, j2 = beta2
-    if i == j2 + 1:
-        return ((i2, j), 1)
-    if i2 == j + 1:
-        return ((i, j2), -1)
-    return None
-
-
 def _coroot_pairing(weight, alpha):
     """<weight, alpha-check> for an interval coroot: sum of coefficients."""
     a, b = alpha
@@ -208,63 +214,6 @@ def _root_coroot_pairing(beta, alpha):
 
 # ---------------------------------------------------------------------------
 # Straightening evaluator
-
-_straighten_memo = {}
-
-
-def _straighten_word(word):
-    """Rewrite a plain lowering word as sorted words: dict word -> int.
-
-    Words are tuples of interval roots, leftmost operator applied last;
-    sorted means ascending lexicographic root order.
-    """
-    got = _straighten_memo.get(word)
-    if got is not None:
-        return got
-    pos = -1
-    for k in range(len(word) - 1):
-        if word[k] > word[k + 1]:
-            pos = k
-            break
-    if pos < 0:
-        out = {word: 1}
-        _straighten_memo[word] = out
-        return out
-    out = {}
-    swapped = word[:pos] + (word[pos + 1], word[pos]) + word[pos + 2:]
-    for w, cf in _straighten_word(swapped).items():
-        out[w] = out.get(w, 0) + cf
-    br = _bracket_ff(word[pos], word[pos + 1])
-    if br is not None:
-        gamma, sign = br
-        shorter = word[:pos] + (gamma,) + word[pos + 2:]
-        for w, cf in _straighten_word(shorter).items():
-            out[w] = out.get(w, 0) + sign * cf
-    out = {w: cf for w, cf in out.items() if cf}
-    _straighten_memo[word] = out
-    return out
-
-
-def _word_factorial(word):
-    out = 1
-    run = 1
-    for k in range(1, len(word) + 1):
-        if k < len(word) and word[k] == word[k - 1]:
-            run += 1
-        else:
-            out *= math.factorial(run)
-            run = 1
-    return out
-
-
-def _sorted_word_to_monomial(word):
-    factors = []
-    for beta in word:
-        if factors and factors[-1][0] == beta:
-            factors[-1] = (beta, factors[-1][1] + 1)
-        else:
-            factors.append((beta, 1))
-    return tuple(factors)
 
 
 def _monomial_to_word(mon):
@@ -337,39 +286,10 @@ class GramEngine:
                     break
         num = state.get((), 0)
         den = _monomial_factorial(vmon) * _monomial_factorial(wmon)
-        assert num % den == 0, (self.lam, vmon, wmon, num, den)
+        if num % den:
+            raise ArithmeticError("form entry %d not divisible by %d at %r, %r, %r"
+                                  % (num, den, self.lam, vmon, wmon))
         return num // den
-
-    def raise_vector(self, alpha, vector):
-        """e_alpha on a combination of divided monomials; result again in
-        divided monomials (roots ascending), rational coefficients."""
-        out = {}
-        for mon, coeff in vector.items():
-            coeff = Fraction(coeff, _monomial_factorial(mon))
-            for w, cf in self.apply_e(alpha, _monomial_to_word(mon)).items():
-                if not cf:
-                    continue
-                for sw, cf2 in _straighten_word(w).items():
-                    mon2 = _sorted_word_to_monomial(sw)
-                    val = coeff * cf * cf2 * _word_factorial(sw)
-                    out[mon2] = out.get(mon2, 0) + val
-        return {m: c for m, c in out.items() if c}
-
-
-_engines = {}
-
-
-def _engine(lam):
-    lam = tuple(lam)
-    eng = _engines.get(lam)
-    if eng is None:
-        eng = _engines[lam] = GramEngine(lam)
-    return eng
-
-
-def apply_raising(lam, alpha, vector):
-    """Module-level wrapper for GramEngine.raise_vector."""
-    return _engine(lam).raise_vector(alpha, vector)
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +315,6 @@ def _wedge_move(subset, i, t):
     return got
 
 
-class _Space:
-    __slots__ = ("elements", "index")
-
-    def __init__(self, elements):
-        self.elements = elements
-        self.index = {el: k for k, el in enumerate(elements)}
-
-    def __len__(self):
-        return len(self.elements)
-
-
 class TensorRealization:
     """Model of the cyclic highest-weight span inside a tensor product of
     exterior powers: one wedge-power factor per unit of each fundamental
@@ -426,8 +335,6 @@ class TensorRealization:
             a = lam[k - 1]
             if a:
                 self.groups.append((k, a, k in compress))
-        self._spaces = {}
-        self._triples = {}
 
     def top_row(self):
         return epsilon_coordinates(self.lam)
@@ -453,48 +360,6 @@ class TensorRealization:
                     out *= math.factorial(run)
                     run = 1
         return out
-
-    def space(self, row):
-        got = self._spaces.get(row)
-        if got is not None:
-            return got
-        m = self.l + 1
-        elements = []
-        rem = list(row)
-        parts = []
-
-        def fill_group(g):
-            if g == len(self.groups):
-                if not any(rem):
-                    elements.append(tuple(parts))
-                return
-            k, a, compressed = self.groups[g]
-            budget = sum(kk * aa for kk, aa, _ in self.groups[g:])
-            if sum(rem) != budget:
-                return
-            chosen = []
-
-            def fill_copy(t, lowest):
-                if t == a:
-                    parts.append(tuple(chosen))
-                    fill_group(g + 1)
-                    parts.pop()
-                    return
-                for sub in _subsets_with_counts(rem, k, m, lowest):
-                    for x in sub:
-                        rem[x - 1] -= 1
-                    chosen.append(sub)
-                    fill_copy(t + 1, sub if compressed else None)
-                    chosen.pop()
-                    for x in sub:
-                        rem[x - 1] += 1
-
-            fill_copy(0, None)
-
-        fill_group(0)
-        sp = _Space(elements)
-        self._spaces[row] = sp
-        return sp
 
     def moves(self, root, element):
         """One lowering step: list of (element', coeff)."""
@@ -534,38 +399,8 @@ class TensorRealization:
         out[j] += 1
         return tuple(out)
 
-    def triples(self, root, src_row):
-        """Dense action data of one lowering step from the given weight row:
-        (dst_row, dst_idx, src_idx, coeff) with numpy index arrays."""
-        key = (root, src_row)
-        got = self._triples.get(key)
-        if got is not None:
-            return got
-        dst_row = self.lower_row(root, src_row)
-        src = self.space(src_row)
-        dst = self.space(dst_row)
-        ds, ss, cs = [], [], []
-        for idx, el in enumerate(src.elements):
-            for el2, cf in self.moves(root, el):
-                ds.append(dst.index[el2])
-                ss.append(idx)
-                cs.append(cf)
-        got = (dst_row,
-               np.array(ds, dtype=np.int64),
-               np.array(ss, dtype=np.int64),
-               np.array(cs, dtype=np.int64))
-        self._triples[key] = got
-        return got
-
-    def apply_f_dense(self, root, src_row, vec):
-        dst_row, ds, ss, cs = self.triples(root, src_row)
-        out = np.zeros(len(self.space(dst_row)), dtype=np.int64)
-        if len(ds):
-            np.add.at(out, ds, cs * vec[ss])
-        return dst_row, out
-
     def apply_f_sparse(self, root, src_row, vec):
-        """Dict-based exact action for arbitrary-precision paths."""
+        """One lowering step on an exact vector, a dict element -> int."""
         dst_row = self.lower_row(root, src_row)
         out = {}
         for el, coeff in vec.items():
@@ -574,28 +409,16 @@ class TensorRealization:
         return dst_row, {el: c for el, c in out.items() if c}
 
 
-def _subsets_with_counts(rem, k, m, lowest):
-    """Sorted k-subsets of 1..m with rem[x-1] > 0 for every member, at
-    least `lowest` in subset order when given."""
-    out = []
-    cur = []
-
-    def rec(start):
-        if len(cur) == k:
-            sub = tuple(cur)
-            if lowest is None or sub >= lowest:
-                out.append(sub)
-            return
-        for x in range(start, m + 1):
-            if m - x + 1 < k - len(cur):
-                break
-            if rem[x - 1] > 0:
-                cur.append(x)
-                rec(x + 1)
-                cur.pop()
-
-    rec(1)
-    return out
+def _divide_exact(vec, t):
+    """Divide the coefficients of vec by t in place: step t of a divided
+    power f^(s) = f^s / s!.  The quotient is integral on the Z-form, so a
+    remainder means the model is wrong, and raises."""
+    for el, cf in vec.items():
+        q, r = divmod(cf, t)
+        if r:
+            raise ArithmeticError("divided power: coefficient %d of %r is not "
+                                  "divisible by %d" % (cf, el, t))
+        vec[el] = q
 
 
 class _ImageCalculator:
@@ -615,10 +438,7 @@ class _ImageCalculator:
         for t in range(1, s + 1):
             row, vec = self.real.apply_f_sparse(root, row, vec)
             if t > 1:
-                for el in vec:
-                    q, r = divmod(vec[el], t)
-                    assert r == 0, (self.real.lam, mon, el)
-                    vec[el] = q
+                _divide_exact(vec, t)
         got = (row, vec)
         self.memo[mon] = got
         return got
@@ -648,7 +468,7 @@ def _entries_of(A):
     return [list(r) for r in A]
 
 
-def gram_matrix(lam, mu, cap=DEFAULT_MONOMIAL_CAP, method="auto", threads=1):
+def gram_matrix(lam, mu, cap=DEFAULT_MONOMIAL_CAP, method="auto"):
     """Contravariant Gram matrix on spanning_monomials(lam, mu).
 
     method: "auto" (tensor realization dot products) or "straighten"
@@ -664,40 +484,24 @@ def gram_matrix(lam, mu, cap=DEFAULT_MONOMIAL_CAP, method="auto", threads=1):
             blocking=tuple(mu))
     if method == "straighten":
         eng = GramEngine(lam)
-
-        def row_of(a):
-            return [eng.form_entry(mons[a], mons[b]) for b in range(n)]
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                rows = list(ex.map(row_of, range(n)))
-        else:
-            rows = [row_of(a) for a in range(n)]
+        rows = [[eng.form_entry(mons[a], mons[b]) for b in range(n)]
+                for a in range(n)]
         for a in range(n):
             for b in range(a):
-                assert rows[a][b] == rows[b][a], (lam, mu, a, b)
+                if rows[a][b] != rows[b][a]:
+                    raise ArithmeticError("straightened Gram not symmetric at "
+                                          "%r, %r: (%d, %d)" % (lam, mu, a, b))
     elif method == "auto":
         real = TensorRealization(lam)
         calc = _ImageCalculator(real)
-        vecs = []
-        for mon in mons:
-            row, vec = calc.image(mon)
-            vecs.append(vec)
-
-        def row_of(a):
-            va = vecs[a]
-            out = []
-            for b in range(n):
-                vb = vecs[b]
+        vecs = [calc.image(mon)[1] for mon in mons]
+        rows = []
+        for va in vecs:
+            row = []
+            for vb in vecs:
                 small, big = (va, vb) if len(va) <= len(vb) else (vb, va)
-                out.append(sum(cf * big.get(el, 0) for el, cf in small.items()))
-            return out
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                rows = list(ex.map(row_of, range(n)))
-        else:
-            rows = [row_of(a) for a in range(n)]
+                row.append(sum(cf * big.get(el, 0) for el, cf in small.items()))
+            rows.append(row)
     else:
         raise ValueError("unknown gram method %r" % (method,))
     return GramMatrix(tuple(lam), tuple(mu), mons, rows)
@@ -730,12 +534,14 @@ def gram_on_combinations(lam, mu, combinations, cap=DEFAULT_MONOMIAL_CAP):
 
 
 def rank_mod_p(A, p):
-    """Rank of an integer matrix over the prime field F_p."""
-    _require_prime(p)
+    """Rank of an integer matrix over the prime field F_p.  Entries stay
+    int64 while (p-1)^2 fits; past that they are Python integers."""
+    require_prime(p)
     rows = _entries_of(A)
     if not rows:
         return 0
-    M = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+    dtype = np.int64 if (p - 1) ** 2 <= np.iinfo(np.int64).max else object
+    M = np.array([[x % p for x in row] for row in rows], dtype=dtype)
     n, m = M.shape
     rank = 0
     for col in range(m):
@@ -864,19 +670,29 @@ def smith_normal_form(A):
 # Modular multiplicities
 
 
-def _echelon_push(rows, pivots, v, p):
-    """Reduce v against the current echelon basis; append when nonzero."""
-    for row, piv in zip(rows, pivots):
+def _echelon_insert(basis, vec, p):
+    """Reduce vec mod p against basis, a dict pivot element -> row whose
+    pivot is its smallest element, scaled to 1; keep what is left as a new
+    row."""
+    v = {}
+    for el, cf in vec.items():
+        cf %= p
+        if cf:
+            v[el] = cf
+    while v:
+        piv = min(v)
         x = v[piv]
-        if x:
-            v = (v - x * row) % p
-    nz = np.nonzero(v)[0]
-    if len(nz) == 0:
-        return
-    piv = int(nz[0])
-    inv = pow(int(v[piv]), p - 2, p)
-    rows.append((v * inv) % p)
-    pivots.append(piv)
+        row = basis.get(piv)
+        if row is None:
+            inv = pow(x, -1, p)
+            basis[piv] = {el: cf * inv % p for el, cf in v.items()}
+            return
+        for el, cf in row.items():
+            y = (v.get(el, 0) - x * cf) % p
+            if y:
+                v[el] = y
+            else:
+                del v[el]
 
 
 def _stream_rank(lam, mu, p):
@@ -892,12 +708,14 @@ def _stream_rank(lam, mu, p):
         target[i] -= ci
         target[i + 1] += ci
     target = tuple(target)
-    rows, pivots = [], []
+    basis = {}
 
     def rec(idx, row, vec, total):
         if total == 0:
-            assert row == target, (lam, mu, row)
-            _echelon_push(rows, pivots, vec % p, p)
+            if row != target:
+                raise ArithmeticError("leaf weight row %r, expected %r at %r, %r"
+                                      % (row, target, lam, mu))
+            _echelon_insert(basis, vec, p)
             return
         if idx == nroots:
             return
@@ -908,29 +726,23 @@ def _stream_rank(lam, mu, p):
         rec(idx + 1, row, vec, total)
         cur_row, cur = row, vec
         for s in range(1, smax + 1):
-            cur_row, cur = real.apply_f_dense(roots[idx], cur_row, cur)
+            cur_row, cur = real.apply_f_sparse(roots[idx], cur_row, cur)
             if s > 1:
-                q, r = np.divmod(cur, s)
-                assert not r.any(), (lam, mu, roots[idx], s)
-                cur = q
-            assert np.abs(cur).max(initial=0) < _OVERFLOW_LIMIT
+                _divide_exact(cur, s)
             for k in range(i - 1, j):
                 rem[k] -= 1
             rec(idx + 1, cur_row, cur, total - s * (j - i + 1))
         for k in range(i - 1, j):
             rem[k] += smax
 
-    top = np.zeros(len(real.space(real.top_row())), dtype=np.int64)
-    top[real.space(real.top_row()).index[real.top_element()]] = 1
-    rec(0, real.top_row(), top, sum(c))
-    if not rows:
-        return 0
-    R = np.array(rows, dtype=np.int64)
-    space = real.space(target)
-    scale = np.array([pow(real.norm_denominator(el) % p, p - 2, p)
-                      for el in space.elements], dtype=np.int64)
-    G = (R * scale[None, :]) @ R.T % p
-    return rank_mod_p(G.tolist(), p)
+    rec(0, real.top_row(), {real.top_element(): 1}, sum(c))
+    # the standard basis of a compressed group has squared norm
+    # 1/norm_denominator, a unit mod p because compressed coefficients are < p
+    weighted = [{el: cf * pow(real.norm_denominator(el), -1, p) % p
+                 for el, cf in row.items()} for row in basis.values()]
+    G = [[sum(cf * rb.get(el, 0) for el, cf in wa.items()) % p
+          for rb in basis.values()] for wa in weighted]
+    return rank_mod_p(G, p)
 
 
 def irreducible_multiplicity(lam, mu, p, cap=DEFAULT_MONOMIAL_CAP, method="auto"):
@@ -938,11 +750,13 @@ def irreducible_multiplicity(lam, mu, p, cap=DEFAULT_MONOMIAL_CAP, method="auto"
     highest weight lam in characteristic p: the rank mod p of the
     contravariant Gram matrix on the full spanning set.
 
-    method "auto" streams realization vectors through a mod-p echelon
-    factorization; "dense" and "straighten" materialize the Gram matrix
-    first.  Raises ResourceExceeded when the spanning set passes cap.
+    method "auto" streams exact realization vectors into a sparse mod-p
+    echelon basis on their support and ranks the form on that basis;
+    "dense" and "straighten" materialize the Gram matrix first.  Raises
+    ResourceExceeded when the spanning set passes cap, ValueError unless
+    p is a prime below PRIME_BOUND.
     """
-    _require_prime(p)
+    require_prime(p)
     c = root_coordinates(lam, mu)
     if c is None:
         raise ValueError("%r is not subdominant to %r" % (mu, lam))

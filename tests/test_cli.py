@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -49,6 +50,20 @@ def test_composite_char_rejected(capsys):
                        "--weight", "1:1")
     assert code == 1
     assert "prime" in json.loads(err)["error"]
+    # a composite with large factors, and a value past the primality bound
+    for char in (str((2 ** 61 - 1) * (2 ** 31 - 1)), str(10 ** 25 + 13)):
+        code, _, err = run(capsys, "mult", "--rank", "2", "--char", char,
+                           "--weight", "1:1,2:1", "--sub", "0")
+        assert code == 1
+        assert "prime" in json.loads(err)["error"]
+
+
+def test_large_prime_char_accepted(capsys):
+    t0 = time.perf_counter()
+    doc = payload(capsys, "mult", "--rank", "2", "--char", str(2 ** 61 - 1),
+                  "--weight", "1:1,2:1", "--sub", "0", "--strategy", "gram-only")
+    assert time.perf_counter() - t0 < 10
+    assert doc["result"]["multiplicity"] == "2"
 
 
 def test_usage_error_exit_one(capsys):

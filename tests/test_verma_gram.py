@@ -85,6 +85,11 @@ def test_rank_helpers():
     assert rational_rank(A) == 2
     assert rank_mod_p(A, 3) == 1
     assert rank_mod_p(A, 2) == 2
+    # entries near p, whose products pass int64 at these primes
+    for p in (10000000019, 2 ** 61 - 1):
+        u = [p - 1, p - 2, p - 3]
+        assert rank_mod_p([u, [2 * x for x in u], [3 * x for x in u]], p) == 1
+        assert rank_mod_p([u, [p - 2, p - 1, p - 3]], p) == 2
 
 
 def test_smith_normal_form_known():
@@ -108,6 +113,9 @@ def test_rational_rank_equals_weyl_multiplicity(lam):
         except ResourceExceeded:
             continue
         assert rational_rank(gm) == weyl_multiplicity(lam, mu)
+        # p above every elementary divisor: the head keeps the whole space
+        for p in (1000003, 10000000019):
+            assert irreducible_multiplicity(lam, mu, p) == weyl_multiplicity(lam, mu)
 
 
 @pytest.mark.parametrize("lam,mu,p,m", [
@@ -123,16 +131,22 @@ def test_irreducible_multiplicity(lam, mu, p, m):
 
 
 def test_irreducible_multiplicity_methods_agree():
-    lam, mu = (1, 1, 1), (0, 1, 0)
-    for p in (2, 3, 5):
-        stream = irreducible_multiplicity(lam, mu, p)
-        dense = irreducible_multiplicity(lam, mu, p, method="dense")
-        assert stream == dense
+    # the second cell repeats wedge factors: compressed at p = 7 only
+    for lam, mu, primes in (
+            ((1, 1, 1), (0, 1, 0), (2, 3, 5)),
+            ((0, 3, 0, 0, 0, 0, 0, 3, 0), (1, 0, 0, 0, 1, 0, 2, 0, 0), (2, 3, 7))):
+        for p in primes:
+            stream = irreducible_multiplicity(lam, mu, p)
+            dense = irreducible_multiplicity(lam, mu, p, method="dense")
+            assert stream == dense, (lam, mu, p)
 
 
 def test_irreducible_multiplicity_rejects_composite_char():
-    with pytest.raises(ValueError):
-        irreducible_multiplicity((1, 1, 0), (0, 0, 1), 6)
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7; the last value is past PRIME_BOUND
+    for p in (6, 561, 3215031751, (2 ** 61 - 1) * (2 ** 31 - 1), 10 ** 25 + 13):
+        with pytest.raises(ValueError):
+            irreducible_multiplicity((1, 1, 0), (0, 0, 1), p)
 
 
 def test_cap_raises_with_blocking():
