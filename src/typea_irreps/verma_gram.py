@@ -33,9 +33,9 @@ from .root_system import epsilon_coordinates, positive_roots, root_coordinates
 DEFAULT_MONOMIAL_CAP = 20000
 _DENSE_CAP = 4000
 
-# Miller-Rabin with the first twelve primes as bases is deterministic
+# Miller-Rabin with the first thirteen primes as bases is deterministic
 # below this bound (Sorenson and Webster, 2015).
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
 
 
@@ -50,7 +50,7 @@ class ResourceExceeded(Exception):
 def require_prime(p):
     """Raise ValueError unless p is a prime below PRIME_BOUND."""
     if not isinstance(p, int) or p < 2:
-        raise ValueError("characteristic must be a prime, got %r" % (p,))
+        raise ValueError("characteristic %r is not prime" % (p,))
     if p >= PRIME_BOUND:
         raise ValueError("cannot tell whether characteristic %d is prime: the "
                          "test is deterministic only below %d" % (p, PRIME_BOUND))
@@ -69,7 +69,7 @@ def require_prime(p):
             if x == p - 1:
                 break
         else:
-            raise ValueError("characteristic must be a prime, got %r" % (p,))
+            raise ValueError("characteristic %r is not prime" % (p,))
 
 
 # ---------------------------------------------------------------------------

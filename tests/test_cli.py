@@ -1,5 +1,4 @@
 import json
-import time
 
 import pytest
 
@@ -49,9 +48,11 @@ def test_composite_char_rejected(capsys):
     code, _, err = run(capsys, "dim", "--rank", "4", "--char", "6",
                        "--weight", "1:1")
     assert code == 1
-    assert "prime" in json.loads(err)["error"]
-    # a composite with large factors, and a value past the primality bound
-    for char in (str((2 ** 61 - 1) * (2 ** 31 - 1)), str(10 ** 25 + 13)):
+    assert json.loads(err)["error"] == "characteristic 6 is not prime"
+    # a composite with large factors, a strong pseudoprime to the bases
+    # 2 to 37, and a value past the primality bound
+    for char in (str((2 ** 61 - 1) * (2 ** 31 - 1)), "318665857834031151167461",
+                 str(10 ** 25 + 13)):
         code, _, err = run(capsys, "mult", "--rank", "2", "--char", char,
                            "--weight", "1:1,2:1", "--sub", "0")
         assert code == 1
@@ -59,10 +60,8 @@ def test_composite_char_rejected(capsys):
 
 
 def test_large_prime_char_accepted(capsys):
-    t0 = time.perf_counter()
     doc = payload(capsys, "mult", "--rank", "2", "--char", str(2 ** 61 - 1),
                   "--weight", "1:1,2:1", "--sub", "0", "--strategy", "gram-only")
-    assert time.perf_counter() - t0 < 10
     assert doc["result"]["multiplicity"] == "2"
 
 

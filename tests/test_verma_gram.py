@@ -143,8 +143,10 @@ def test_irreducible_multiplicity_methods_agree():
 
 def test_irreducible_multiplicity_rejects_composite_char():
     # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
-    # the bases 2, 3, 5 and 7; the last value is past PRIME_BOUND
-    for p in (6, 561, 3215031751, (2 ** 61 - 1) * (2 ** 31 - 1), 10 ** 25 + 13):
+    # the bases 2, 3, 5 and 7, and 318665857834031151167461 to every prime
+    # base up to 37; the last value is past PRIME_BOUND
+    for p in (6, 561, 3215031751, (2 ** 61 - 1) * (2 ** 31 - 1),
+              318665857834031151167461, 10 ** 25 + 13):
         with pytest.raises(ValueError):
             irreducible_multiplicity((1, 1, 0), (0, 0, 1), p)
 
