@@ -10,7 +10,6 @@ all restricted weights with dim L <= (l+1)^s, and a checker that compares
 the two.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -134,10 +133,9 @@ class ClassificationReport:
         }
 
 
-def _resolve_multiplicity(lam, mu, p, strategy, weyl_table, cap):
-    """(multiplicity, provenance) for one subdominant mu, or a deferred
-    marker (None, kostant size) when only the Gram engine can answer and
-    the strategy allows it."""
+def _resolve_multiplicity(lam, mu, p, strategy, weyl_table):
+    """(multiplicity, provenance) for one subdominant mu, or None when only
+    the Gram engine can answer and the strategy allows it."""
     if strategy != "gram-only":
         if weyl_table[mu] == 1:
             return 1, "weyl-mult-1"
@@ -148,19 +146,22 @@ def _resolve_multiplicity(lam, mu, p, strategy, weyl_table, cap):
             raise ResourceExceeded(
                 "no closed form for mu=%s under oracle-only" % format_weight(mu),
                 blocking=tuple(mu))
-    c = root_coordinates(lam, mu)
-    return None, kostant_count(c, cap)
+    return None
 
 
 def _dim_terms(lam, p, strategy, cap_monomials, cap_value=None):
     """Breakdown terms for dim L(lam), or None once the running total is
-    known to exceed cap_value.  Gram cells are deferred and evaluated in
-    ascending spanning-set order so the cheapest blocker aborts first."""
+    known to exceed cap_value.
+
+    Every subdominant mu has multiplicity >= 1 (lam is restricted), so
+    the orbit sum, and then the floor with the closed forms filled in and
+    1 for every mu left to the Gram engine, can reject lam before any
+    form work.  Only when that floor fits are the deferred spanning sets
+    counted (kostant_count); the Gram cells are then ranked in ascending
+    spanning-set order so that the cheapest blocker aborts first.
+    """
     mus = subdominant_weights(lam)
     orbits = {mu: orbit_size(mu) for mu in mus}
-    # every subdominant weight occurs (multiplicity >= 1 for restricted
-    # weights), so the plain orbit sum already rules out most weights
-    # before any recursion or form work happens
     if cap_value is not None and sum(orbits.values()) > cap_value:
         return None
 
@@ -168,12 +169,11 @@ def _dim_terms(lam, p, strategy, cap_monomials, cap_value=None):
     resolved = {}
     deferred = []
     for mu in mus:
-        value, info = _resolve_multiplicity(
-            lam, mu, p, strategy, weyl_table, cap_monomials)
-        if value is None:
-            deferred.append((info, mu))
+        hit = _resolve_multiplicity(lam, mu, p, strategy, weyl_table)
+        if hit is None:
+            deferred.append(mu)
         else:
-            resolved[mu] = (value, info)
+            resolved[mu] = hit
 
     def running_floor():
         total = 0
@@ -185,7 +185,9 @@ def _dim_terms(lam, p, strategy, cap_monomials, cap_value=None):
     if cap_value is not None and running_floor() > cap_value:
         return None
 
-    deferred.sort()
+    deferred = sorted(
+        (kostant_count(root_coordinates(lam, mu), cap_monomials), mu)
+        for mu in deferred)
     for count, mu in deferred:
         if count > cap_monomials:
             raise ResourceExceeded(
@@ -389,10 +391,23 @@ def enumerate_small_irreducibles(l, p, s, strategy="oracle-first",
     """All nonzero p-restricted dominant weights with dim L <= (l+1)^s,
     reported up to duality.
 
-    Depth-first search over coefficient vectors; a partial assignment is
-    cut as soon as the orbit-sum lower bound for the weight it has already
-    committed to passes the cap, which is sound because that bound only
-    grows when coefficients grow.
+    Depth-first search over coefficient vectors, position by position.
+    Each weight is checked once against the Premet lower bound (the orbit
+    sum over the dominant weights of V(lambda), all of which occur in
+    L(lambda) for restricted lambda).  The child with coefficient 0 at a
+    position is its parent's own weight, so it inherits the parent's
+    verdict without a second check.  The bound only grows with each
+    coefficient, since Pi(lambda + omega_i) contains Pi(lambda) + omega_i;
+    so for a = 1, ..., p-1 the loop stops at the first pruned child, as
+    every larger coefficient would be pruned too, and its cost does not
+    grow with p.  visited_count is the number of bound checks, one per
+    weight reached, the zero weight excluded; pruned_count is the number
+    of checks that failed, at most one per position of each prefix.
+
+    The surviving weights are evaluated one after the other: threads is
+    accepted for compatibility and echoed by the CLI, but evaluation is
+    sequential, since a thread pool gains nothing on this pure-Python
+    work under the GIL.
     """
     cap = (l + 1) ** s
     visited = 0
@@ -401,39 +416,35 @@ def enumerate_small_irreducibles(l, p, s, strategy="oracle-first",
     coeffs = [0] * l
 
     def walk(pos):
+        # coeffs already passed the bound; extend it at pos, pos+1, ...
         nonlocal visited, pruned
-        visited += 1
-        w = tuple(coeffs)
-        if premet_bound_exceeds(w, cap):
-            pruned += 1
-            return
         if pos == l:
             if any(coeffs):
-                candidates.append(w)
+                candidates.append(tuple(coeffs))
             return
-        for a in range(p):
+        walk(pos + 1)
+        for a in range(1, p):
             coeffs[pos] = a
+            visited += 1
+            if premet_bound_exceeds(tuple(coeffs), cap):
+                pruned += 1
+                break
             walk(pos + 1)
         coeffs[pos] = 0
 
     walk(0)
 
-    kept = [w for w in candidates if w >= dual_weight(w)]
-
-    def evaluate(w):
+    results = []
+    for w in candidates:
+        dual = dual_weight(w)
+        if w < dual:
+            continue
         terms = _dim_terms(w, p, strategy, cap_monomials, cap_value=cap)
-        if terms is None:
-            return None
-        return ReportEntry(w, dual_weight(w), sum(t.orbit * t.multiplicity for t in terms), terms)
+        if terms is not None:
+            dim = sum(t.orbit * t.multiplicity for t in terms)
+            results.append(ReportEntry(w, dual, dim, terms))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, kept))
-    else:
-        results = [evaluate(w) for w in kept]
-
-    entries = sorted((e for e in results if e is not None),
-                     key=lambda e: (e.dim, e.weight))
+    entries = sorted(results, key=lambda e: (e.dim, e.weight))
     return ClassificationReport(l, p, s, cap, tuple(entries), visited, pruned)
 
 

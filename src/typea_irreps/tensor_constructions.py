@@ -397,7 +397,10 @@ def _divided_lowerings(vec, i, j):
             data = {}
             for key, val in nxt.data.items():
                 q, r = divmod(val, s)
-                assert r == 0, (key, val, s)
+                if r:
+                    raise ArithmeticError(
+                        "divided power: coefficient %d at %r is not divisible "
+                        "by %d" % (val, key, s))
                 data[key] = q
             nxt = SparseTensor(nxt.degree, data)
         if not nxt.data:
@@ -434,7 +437,8 @@ def young_symmetrizer_module(l, p, cap=YOUNG_RANK_CAP):
     if (l + 2) % p == 0:
         sub = _Elimination(p)
         for vec in _pair_swap_span(l):
-            assert span.contains(vec), "pair-swap span escapes the module"
+            if not span.contains(vec):
+                raise ArithmeticError("pair-swap span escapes the module")
             sub.add(vec)
         irreducible = weyl - sub.rank
     return weyl, irreducible
@@ -511,12 +515,15 @@ def singular_vector(lam, p):
     base[j] += 1
     target = tuple(base)
     for key in out.data:
-        assert _histogram(key, m) == target, (lam, key)
+        if _histogram(key, m) != target:
+            raise ArithmeticError("tensor %r has the wrong weight below %r"
+                                  % (key, lam))
 
     for k in range(1, len(lam) + 1):
         raised = raise_simple(out, k)
-        bad = {k2: c for k2, c in raised.data.items() if c % p}
-        assert not bad, ("raising %d does not kill v_R mod %d" % (k, p))
+        if any(c % p for c in raised.data.values()):
+            raise ArithmeticError("raising %d does not kill v_R mod %d at %r"
+                                  % (k, p, lam))
 
     eps = list(epsilon_coordinates(lam))
     eps[i - 1] -= 1

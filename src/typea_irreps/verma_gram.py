@@ -95,7 +95,10 @@ def kostant_count(c, cap=None):
         if idx == nroots:
             return
         i, j = roots[idx]
-        if any(rem[k] for k in range(i - 1)):
+        # roots run in lexicographic order: once those starting at i-1
+        # are spent nothing clears rem[i-2], and the coordinates before it
+        # were checked at the first root of their own start
+        if i == j and i > 1 and rem[i - 2]:
             return
         smax = min(rem[i - 1:j])
         rec(idx + 1, total)
@@ -138,7 +141,7 @@ def monomials_for_vector(c, cap=None):
         if idx == nroots:
             return
         i, j = roots[idx]
-        if any(rem[k] for k in range(i - 1)):
+        if i == j and i > 1 and rem[i - 2]:  # as in kostant_count
             return
         smax = min(rem[i - 1:j])
         rec(idx + 1, total)
@@ -720,7 +723,7 @@ def _stream_rank(lam, mu, p):
         if idx == nroots:
             return
         i, j = roots[idx]
-        if any(rem[k] for k in range(i - 1)):
+        if i == j and i > 1 and rem[i - 2]:  # as in kostant_count
             return
         smax = min(rem[i - 1:j])
         rec(idx + 1, row, vec, total)

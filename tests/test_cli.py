@@ -119,6 +119,18 @@ def test_enumerate_example(capsys):
     assert dims == {"1:1": "5", "2:1": "10", "1:2": "15", "1:1,4:1": "23"}
 
 
+def test_enumerate_large_prime_char(capsys):
+    # the search loop stops at the first pruned coefficient, so its cost
+    # does not grow with p; at a large p no dimension drops
+    entries = {}
+    for char in ("1000003", "31"):
+        doc = payload(capsys, "enumerate", "--rank", "2", "--char", char,
+                      "--exp", "3")
+        entries[char] = [(e["weight"], e["dim"]) for e in doc["result"]["entries"]]
+    assert len(entries["31"]) == 9
+    assert entries["1000003"] == entries["31"]
+
+
 def test_verify_clean(capsys):
     doc = payload(capsys, "verify", "--rank", "19", "--char", "2", "--exp", "3")
     assert doc["result"]["missing"] == []

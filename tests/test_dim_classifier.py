@@ -169,8 +169,30 @@ def test_enumerate_strategy_independent():
         [(e.weight, e.dim) for e in b.entries]
 
 
+def test_search_checks_each_weight_once(monkeypatch):
+    from typea_irreps import dim_classifier
+    calls = []
+    bound = dim_classifier.premet_bound_exceeds
+
+    def recording(w, cap):
+        calls.append((w, bound(w, cap)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(dim_classifier, "premet_bound_exceeds", recording)
+    report = enumerate_small_irreducibles(6, 5, 3)
+    weights = [w for w, _ in calls]
+    assert len(weights) == len(set(weights)) == report.visited_count
+    pruned = [w for w, cut in calls if cut]
+    assert len(pruned) == report.pruned_count > 0
+    for w in pruned:
+        # a weight is checked when its last nonzero coefficient is set
+        pos = max(k for k, a in enumerate(w) if a)
+        for v in weights:
+            assert not (v[:pos] == w[:pos] and v[pos] > w[pos]), (w, v)
+
+
 def test_brute_force_agrees_with_pruned():
-    for l, p in ((3, 2), (4, 3)):
+    for l, p in ((3, 2), (4, 3), (3, 7)):
         brute = brute_force_small(l, p, 2)
         pruned = enumerate_small_irreducibles(l, p, 2)
         folded = {}

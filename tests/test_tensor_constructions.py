@@ -3,6 +3,7 @@ import pytest
 from typea_irreps.dim_classifier import table_row_dimension
 from typea_irreps.tensor_constructions import (
     NOT_SINGULAR,
+    _divided_lowerings,
     SparseTensor,
     apply_young_symmetrizer,
     contraction_kernel_dim,
@@ -182,3 +183,13 @@ def test_lowering_closure_cap():
     sv = singular_vector((1, 1, 0), 3)
     with pytest.raises(ResourceExceeded):
         lowering_closure([sv.vector], 3, 3, cap=2)
+
+
+def test_divided_lowering_refuses_inexact_division():
+    # residues mod 5 are not a lattice: f^2(3 e1 x e1) = 6 e2 x e2 reads
+    # 1 mod 5, which 2 does not divide
+    v = SparseTensor(2, {(1, 1): 3}, modulus=5)
+    with pytest.raises(ArithmeticError):
+        _divided_lowerings(v, 1, 1)
+    assert [t.data for t in _divided_lowerings(SparseTensor(2, {(1, 1): 3}), 1, 1)] == \
+        [{(2, 1): 3, (1, 2): 3}, {(2, 2): 3}]

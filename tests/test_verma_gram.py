@@ -38,6 +38,34 @@ def test_kostant_count_saturates_at_cap():
     assert kostant_count((3, 3, 3, 3), cap=10) == 11
 
 
+def _kostant_by_product(c):
+    # coefficient of x^c in the product over interval roots of
+    # 1/(1 - x^root), each factor truncated at c
+    l = len(c)
+    series = {(0,) * l: 1}
+    for i in range(l):
+        for j in range(i, l):
+            out = {}
+            for mono, n in series.items():
+                cur = list(mono)
+                while all(cur[k] <= c[k] for k in range(i, j + 1)):
+                    key = tuple(cur)
+                    out[key] = out.get(key, 0) + n
+                    for k in range(i, j + 1):
+                        cur[k] += 1
+            series = out
+    return series.get(tuple(c), 0)
+
+
+@given(st.integers(1, 5).flatmap(lambda l: st.tuples(*[st.integers(0, 4)] * l)),
+       st.integers(0, 60))
+@settings(max_examples=60, deadline=None)
+def test_kostant_count_equals_generating_function(c, cap):
+    n = _kostant_by_product(c)
+    assert kostant_count(c) == n
+    assert kostant_count(c, cap) == min(n, cap + 1)
+
+
 def test_spanning_monomials_match_kostant():
     lam = (2, 1, 1)
     for mu in ((1, 1, 0), (0, 0, 1), (0, 2, 1)):
