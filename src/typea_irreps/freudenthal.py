@@ -18,7 +18,16 @@ _TABLES = {}
 
 def _freudenthal_table(lam):
     """Map from canonical epsilon row of each dominant mu <= lam to the
-    Weyl-module multiplicity m_{V(lam)}(mu).  Memoized per lam."""
+    Weyl-module multiplicity m_{V(lam)}(mu).  Memoized per lam.
+
+    Freudenthal's sum runs over the positive roots e_i - e_j (i < j), and
+    the term of a root depends only on the values row[i] >= row[j], since
+    m(mu + k alpha) is W-invariant.  So the row is grouped into runs of
+    equal values (v_a, c_a), each pair of runs a <= b is visited once, and
+    its term is weighted by the c_a * c_b roots it stands for, or by
+    C(c_a, 2) when a = b: O(d^2) pairs for d distinct values instead of
+    l(l+1)/2 roots.
+    """
     lam = tuple(lam)
     got = _TABLES.get(lam)
     if got is not None:
@@ -40,7 +49,6 @@ def _freudenthal_table(lam):
 
     # ascending height of lam - mu: every m_{mu + k alpha} is ready in time
     order = sorted(rows, key=lambda r: (hgt(r), r))
-    roots = [(i, j) for i in range(m) for j in range(i + 1, m)]  # (e_i - e_j) as 0-based pairs
     lam_shift = [a + b for a, b in zip(vrow, rho_eps)]
     lam_norm = sum(x * x for x in lam_shift)
     table = {}
@@ -53,18 +61,32 @@ def _freudenthal_table(lam):
         if denom <= 0:
             raise ArithmeticError("Freudenthal denominator %d at %r, %r"
                                   % (denom, lam, row))
+        runs = []  # (value, first position, length), values descending
+        start = 0
+        for i in range(1, m + 1):
+            if i == m or row[i] != row[start]:
+                runs.append((row[start], start, i - start))
+                start = i
         total = 0
-        for i, j in roots:
-            k = 1
-            while True:
+        for a, (va, i, ca) in enumerate(runs):
+            for vb, jstart, cb in runs[a:]:
+                roots = ca * (ca - 1) // 2 if jstart == i else ca * cb
+                if not roots:
+                    continue
+                # raise the first entry of run a, lower the last of run b
+                j = jstart + cb - 1
                 shifted = list(row)
-                shifted[i] += k
-                shifted[j] -= k
-                mult = table.get(tuple(sorted(shifted, reverse=True)))
-                if mult is None:
-                    break
-                total += mult * (shifted[i] - shifted[j])
-                k += 1
+                part = 0
+                k = 1
+                while True:
+                    shifted[i] = va + k
+                    shifted[j] = vb - k
+                    mult = table.get(tuple(sorted(shifted, reverse=True)))
+                    if mult is None:
+                        break
+                    part += mult * (va - vb + 2 * k)
+                    k += 1
+                total += roots * part
         if (2 * total) % denom:
             raise ArithmeticError("Freudenthal multiplicity not integral at %r, %r"
                                   % (lam, row))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from itertools import accumulate
+from operator import mul
 
 from .root_system import epsilon_coordinates, is_dominant
 
@@ -77,11 +79,55 @@ def premet_lower_bound(lam):
 
 
 def premet_bound_exceeds(lam, cap):
-    """True as soon as the partial Premet sum passes cap; avoids finishing
-    the subdominant enumeration for hopeless weights."""
+    """True iff premet_lower_bound(lam) > cap, stopping as soon as the
+    partial sum passes cap.
+
+    Walks the canonical epsilon rows of _subdominant_eps_rows (same
+    majorization bounds) in one recursion that carries the length of the
+    current run of equal entries and the product of the factorials of the
+    runs already closed, so each row adds its orbit size (l+1)!/prod(run!)
+    without building a weight.  A tail with one completion closes in one
+    step: all zero, all equal to the entry before it, or ones then zeros
+    after an entry 1 (these tails keep the partial sums below lam's, as
+    the entries of lam's row fall weakly).  The loop over the next entry w
+    breaks once the rest no longer fits below w, as it only gets worse as
+    w falls.
+    """
+    m = len(lam) + 1
+    # below[k] = sum of the epsilon row of lam from entry k on; that row is
+    # the suffix sums of lam, so below is their suffix sums (and a final 0)
+    below = list(accumulate(accumulate(reversed(lam)), initial=0))[::-1] + [0]
+    fact = list(accumulate(range(1, m + 1), mul, initial=1))
+    full = fact[m]
     acc = 0
-    for row in _subdominant_eps_rows(lam):
-        acc += orbit_size(_eps_row_to_weight(row))
-        if acc > cap:
-            return True
-    return False
+
+    def fill(pos, rest, prev, run, closed):
+        # the row so far leaves rest to place and ends in a run of `run`
+        # entries equal to prev; closed is the product of the factorials of
+        # the earlier runs
+        nonlocal acc
+        slots = m - pos - 1
+        hi = rest - below[pos + 1]  # majorization: partial sums stay below lam's
+        if hi > prev:
+            hi = prev
+        for w in range(hi, 0, -1):
+            tail = rest - w
+            if tail > w * slots:
+                break
+            if w == prev:
+                r, c = run + 1, closed
+            else:
+                r, c = 1, closed * fact[run]
+            if tail == w * slots:  # the tail repeats w
+                acc += full // (c * fact[r + slots])
+            elif tail == 0 or w == 1:  # the tail is `tail` ones, then zeros
+                acc += full // (c * fact[r + tail] * fact[slots - tail])
+            elif fill(pos + 1, tail, w, r, c):
+                return True
+            if acc > cap:
+                return True
+        return False
+
+    if not below[0]:
+        return 1 > cap  # the zero weight: one row, orbit 1
+    return fill(0, below[0], below[0], 0, 1)

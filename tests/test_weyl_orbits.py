@@ -1,9 +1,17 @@
+import itertools
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from typea_irreps.freudenthal import weyl_dimension
-from typea_irreps.root_system import dominance_leq, dual_weight, is_dominant, rank_of
+from typea_irreps.root_system import (
+    dominance_leq,
+    dual_weight,
+    epsilon_coordinates,
+    is_dominant,
+    rank_of,
+)
 from typea_irreps.weyl_orbits import (
     orbit_size,
     premet_bound_exceeds,
@@ -79,11 +87,46 @@ def test_premet_bound_below_weyl_dimension(w):
     assert premet_lower_bound(w) <= weyl_dimension(w)
 
 
-@given(weights, st.integers(1, 4))
+def _premet_caps_agree(w, extra=()):
+    # the early-stopping walk against the plain reference sum, at the caps
+    # where the answer flips and at 0
+    full = premet_lower_bound(w)
+    for cap in (full - 1, full, 0) + tuple(extra):
+        assert premet_bound_exceeds(w, cap) == (full > cap), (w, cap, full)
+
+
+@given(weights, st.integers(1, 4), st.data())
 @settings(max_examples=40)
-def test_premet_bound_exceeds_consistent(w, s):
-    cap = (rank_of(w) + 1) ** s
-    assert premet_bound_exceeds(w, cap) == (premet_lower_bound(w) > cap)
+def test_premet_bound_exceeds_consistent(w, s, data):
+    below = data.draw(st.integers(0, premet_lower_bound(w) - 1))
+    _premet_caps_agree(w, ((rank_of(w) + 1) ** s, below))
+
+
+@pytest.mark.parametrize("l", [19, 26, 36, 37])
+def test_premet_bound_exceeds_consistent_grid_weights(l):
+    # weights of the shapes the classification search meets at its ranks
+    def w(*pairs):
+        out = [0] * l
+        for pos, a in pairs:
+            out[pos - 1] += a
+        return tuple(out)
+
+    for lam in (w((1, 1)), w((1, 1), (l, 1)), w((1, 2), (l, 1)),
+                w((1, 1), (2, 1), (l, 1))):
+        full = premet_lower_bound(lam)
+        _premet_caps_agree(lam, (full // 2, (l + 1) ** 3, (l + 1) ** 4))
+
+
+def test_premet_orbit_sum_by_brute_force():
+    # |W.mu| counted as the distinct rearrangements of mu's epsilon row,
+    # with no multinomial formula, for every lam with l <= 4, entries <= 2
+    for l in range(1, 5):
+        for lam in itertools.product(range(3), repeat=l):
+            count = sum(len(set(itertools.permutations(epsilon_coordinates(mu))))
+                        for mu in subdominant_weights(lam))
+            assert premet_lower_bound(lam) == count
+            for cap in range(count + 2):
+                assert premet_bound_exceeds(lam, cap) == (count > cap), (lam, cap)
 
 
 def test_premet_bound_monotone_in_coefficient():
