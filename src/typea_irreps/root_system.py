@@ -33,14 +33,6 @@ def support(weight):
     return [i + 1 for i, a in enumerate(weight) if a != 0]
 
 
-def gap_statistic(weight):
-    """Largest gap between consecutive support indices, the support
-    extended by the virtual indices 0 and l+1.  Zero weight gives l+1."""
-    l = len(weight)
-    idx = [0] + support(weight) + [l + 1]
-    return max(b - a for a, b in zip(idx, idx[1:]))
-
-
 def dual_weight(weight):
     return tuple(reversed(weight))
 
@@ -96,10 +88,6 @@ def root_coordinates(lam, mu):
 def dominance_leq(mu, lam):
     """True iff lam - mu is a non-negative sum of simple roots."""
     return root_coordinates(lam, mu) is not None
-
-
-def height(root_vector):
-    return sum(root_vector)
 
 
 def format_weight(weight):

@@ -8,7 +8,7 @@ between the two pipelines is a test, not a construction.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 from math import comb, factorial
 
 from .root_system import epsilon_coordinates
@@ -348,19 +348,14 @@ class _IntegerEchelon:
 
 
 def _pair_swap_span(l):
-    """Exact generators (id + phi)(e_i x e_1 wedge ... wedge e_{l+1})
-    with phi swapping the first two slots."""
-    vecs = []
-    for i in range(1, l + 2):
-        data = {}
-        for perm in permutations(range(1, l + 2)):
-            s = _perm_sign(perm)
-            key = (i,) + perm
-            data[key] = data.get(key, 0) + s
-            key2 = (perm[0], i) + perm[1:]
-            data[key2] = data.get(key2, 0) + s
-        vecs.append({k: v for k, v in data.items() if v})
-    return vecs
+    """Hook coordinates of the generators (id + phi)(e_i x e_1 wedge ...
+    wedge e_{l+1}), phi swapping the first two slots: the tail misses one
+    m, which joins i in the pair with the sign (-1)^(m-1) of moving e_m
+    to the front, doubled when m = i."""
+    full = tuple(range(1, l + 2))
+    return [{(min(i, m), max(i, m)) + full[:m - 1] + full[m:]:
+             (-1) ** (m - 1) * (2 if m == i else 1) for m in full}
+            for i in full]
 
 
 def young_image_lattice_rank(l, cap=YOUNG_RANK_CAP):
@@ -384,30 +379,41 @@ def young_image_lattice_rank(l, cap=YOUNG_RANK_CAP):
     return lattice.rank
 
 
-def _divided_lowerings(vec, i, j):
-    """Exact images of vec under f_{(i,j)}^{(s)} for s = 1, 2, ... until
-    they vanish; the divisions by s are exact on the lattice generated
-    from a highest weight vector."""
+def _hook_lower(vec, old, new):
+    """f sending e_old to e_new (old < new) on hook coordinates: a key
+    (a, b, c_1 < ... < c_l) with a <= b stands for (e_a e_b) x (e_c1
+    wedge ... wedge e_cl), e_a e_b being e_a x e_b + e_b x e_a, or e_a x e_a
+    when a = b.  The pair gains a factor 2 when it becomes (new, new); the
+    wedge moves old to new with the sign of the indices it passes."""
+    out = {}
+    for key, val in vec.items():
+        a, b, tail = key[0], key[1], key[2:]
+        if old in (a, b):
+            c = b if a == old else a
+            k2 = (min(c, new), max(c, new)) + tail
+            out[k2] = out.get(k2, 0) + (2 * val if c == new else val)
+        if old in tail and new not in tail:
+            sign = (-1) ** sum(1 for c in tail if old < c < new)
+            k2 = (a, b) + tuple(sorted(new if c == old else c for c in tail))
+            out[k2] = out.get(k2, 0) + sign * val
+    return {k: v for k, v in out.items() if v}
+
+
+def _hook_divided_lowerings(vec, old, new):
+    """Exact images of vec under f^(s) = f^s / s!, s = 1, 2, ..., until
+    they vanish (f as in `_hook_lower`); the divisions are exact on the
+    lattice generated from a highest weight vector, and a remainder raises."""
     out = []
-    cur = vec
-    s = 1
-    while True:
-        nxt = lower_root(cur, i, j)
-        if s > 1:
-            data = {}
-            for key, val in nxt.data.items():
-                q, r = divmod(val, s)
-                if r:
-                    raise ArithmeticError(
-                        "divided power: coefficient %d at %r is not divisible "
-                        "by %d" % (val, key, s))
-                data[key] = q
-            nxt = SparseTensor(nxt.degree, data)
-        if not nxt.data:
+    for s in count(1):
+        vec = _hook_lower(vec, old, new)
+        for key, val in vec.items():
+            if val % s:
+                raise ArithmeticError("divided power: coefficient %d at %r "
+                                      "is not divisible by %d" % (val, key, s))
+        vec = {k: v // s for k, v in vec.items()}
+        if not vec:
             return out
-        out.append(nxt)
-        cur = nxt
-        s += 1
+        out.append(vec)
 
 
 def young_symmetrizer_module(l, p, cap=YOUNG_RANK_CAP):
@@ -418,20 +424,25 @@ def young_symmetrizer_module(l, p, cap=YOUNG_RANK_CAP):
     by exact divided lowerings reduced mod p; the naive mod-p matrix
     image of the symmetrizer is smaller whenever p divides an elementary
     divisor of the integral image (it does at p = 2), so it is not the
-    right object.  When p divides l+2 the second entry drops by the rank
-    of the pair-swap span, whose containment is checked, not assumed.
+    right object.  The simple f_i^(n) suffice: they generate the Kostant
+    Z-form U_Z^- as a ring.  Every vector reached is symmetric in slots
+    0, 1 and alternating in slots 2..l+1, so it is carried on its hook
+    coordinates (`_hook_lower`); each full coefficient is +-1 times one of
+    them, so ranks and containment mod p are unchanged.  When p divides
+    l+2 the second entry drops by the rank of the pair-swap span, whose
+    containment is checked, not assumed.
     """
     if l > cap:
         raise ResourceExceeded("symmetrizer rank %d over cap %d" % (l, cap))
     span = _Elimination(p)
-    roots = [(a, b) for a in range(1, l + 1) for b in range(a, l + 1)]
-    queue = [young_highest_weight_vector(l)]
+    # e_1.e_1 x (e_1 wedge ... wedge e_l), one hook key
+    queue = [{(1, 1) + tuple(range(1, l + 1)): 1}]
     while queue:
         w = queue.pop()
-        if not span.add(w.data):
+        if not span.add(w):
             continue
-        for a, b in roots:
-            queue.extend(_divided_lowerings(w, a, b))
+        for i in range(1, l + 1):
+            queue.extend(_hook_divided_lowerings(w, i, i + 1))
     weyl = span.rank
     irreducible = weyl
     if (l + 2) % p == 0:

@@ -148,13 +148,22 @@ def test_construct_contraction(capsys):
 
 
 def test_construct_young(capsys):
-    doc = payload(capsys, "construct", "2l1ll", "--rank", "4", "--char", "2")
-    assert doc["result"]["weyl"] == "70"
-    assert doc["result"]["irreducible"] == "65"
+    # irreducible dimensions below weyl; at every other (l, p) they are equal
+    drops = {(2, 2): 12, (3, 5): 32, (4, 2): 65, (4, 3): 65}
+    for l, weyl in ((2, 15), (3, 36), (4, 70)):
+        for p in (2, 3, 5, 7):
+            doc = payload(capsys, "construct", "2l1ll", "--rank", str(l),
+                          "--char", str(p))
+            assert doc["result"] == {
+                "weyl": str(weyl),
+                "irreducible": str(drops.get((l, p), weyl))}, (l, p)
 
 
 def test_construct_cap_exit_two(capsys):
     code, _, _ = run(capsys, "construct", "l1l2", "--rank", "12",
+                     "--char", "3")
+    assert code == 2
+    code, _, _ = run(capsys, "construct", "2l1ll", "--rank", "5",
                      "--char", "3")
     assert code == 2
 

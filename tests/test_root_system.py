@@ -6,8 +6,6 @@ from typea_irreps.root_system import (
     dual_weight,
     epsilon_coordinates,
     format_weight,
-    gap_statistic,
-    height,
     is_dominant,
     is_restricted,
     parse_weight,
@@ -51,9 +49,8 @@ def test_is_restricted():
     assert is_restricted((2, 0, 0), 3)
 
 
-def test_support_and_gap():
+def test_support():
     assert support((0, 3, 0, 1)) == [2, 4]
-    assert gap_statistic((1, 0, 0, 1)) == 3
 
 
 @given(weights)
@@ -91,10 +88,6 @@ def test_root_coordinates_interior():
 def test_root_coordinates_none_when_not_below():
     assert root_coordinates((1, 0, 0), (0, 1, 0)) is None
     assert root_coordinates((1, 0, 0), (0, 0, 1)) is None
-
-
-def test_height():
-    assert height((1, 2, 1)) == 4
 
 
 def test_dominance_leq():

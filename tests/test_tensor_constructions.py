@@ -1,9 +1,16 @@
+from fractions import Fraction
+from itertools import combinations, count
+
 import pytest
+from hypothesis import given, strategies as st
 
 from typea_irreps.dim_classifier import table_row_dimension
 from typea_irreps.tensor_constructions import (
     NOT_SINGULAR,
-    _divided_lowerings,
+    _Elimination,
+    _hook_divided_lowerings,
+    _hook_lower,
+    _pair_swap_span,
     SparseTensor,
     apply_young_symmetrizer,
     contraction_kernel_dim,
@@ -137,6 +144,107 @@ def test_young_module_matches_registered_row(l, p):
     assert irreducible == table_row_dimension("t1:2l1+ll", l, p)
 
 
+def _expand(vec, l):
+    """Full tensor of a hook-coordinate vector: both orders of the pair,
+    every signed order of the tail."""
+    data = {}
+    for key, val in vec.items():
+        a, b, tail = key[0], key[1], key[2:]
+        for order, sign in wedge_tensor(tail).items():
+            for pair in {(a, b), (b, a)}:
+                data[pair + order] = data.get(pair + order, 0) + sign * val
+    return SparseTensor(l + 2, data)
+
+
+def _restrict(tensor):
+    """Coefficients on the hook keys: a <= b, strictly increasing tail."""
+    return {k: v for k, v in tensor.items()
+            if k[0] <= k[1] and all(x < y for x, y in zip(k[2:], k[3:]))}
+
+
+def _reference_divided_lowerings(vec, i, j):
+    out = []
+    for s in count(1):
+        data = {}
+        for key, val in lower_root(vec, i, j).items():
+            q, r = divmod(val, s)
+            if r:
+                raise ArithmeticError((val, key, s))
+            data[key] = q
+        if not data:
+            return out
+        vec = SparseTensor(vec.degree, data)
+        out.append(vec)
+
+
+def _reference_young_module(l, p):
+    """The closure without either shortcut: every interval root's divided
+    powers on fully expanded tensors, and the expanded pair-swap span."""
+    span = _Elimination(p)
+    queue = [young_highest_weight_vector(l)]
+    while queue:
+        w = queue.pop()
+        if not span.add(w.data):
+            continue
+        for a in range(1, l + 1):
+            for b in range(a, l + 1):
+                queue.extend(_reference_divided_lowerings(w, a, b))
+    weyl = span.rank
+    irreducible = weyl
+    if (l + 2) % p == 0:
+        sub = _Elimination(p)
+        for vec in _reference_pair_swap_span(l):
+            assert span.contains(vec)
+            sub.add(vec)
+        irreducible = weyl - sub.rank
+    return weyl, irreducible
+
+
+def _reference_pair_swap_span(l):
+    wedge = wedge_tensor(range(1, l + 2))
+    vecs = []
+    for i in range(1, l + 2):
+        data = {}
+        for key, sign in wedge.items():
+            for k2 in ((i,) + key, (key[0], i) + key[1:]):
+                data[k2] = data.get(k2, 0) + sign
+        vecs.append(data)
+    return vecs
+
+
+@pytest.mark.parametrize("l", (2, 3, 4))
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13, 1000003))
+def test_young_module_matches_reference_closure(l, p):
+    assert young_symmetrizer_module(l, p) == _reference_young_module(l, p)
+
+
+@pytest.mark.parametrize("l", (2, 3, 4))
+def test_pair_swap_span_closed_form(l):
+    assert _pair_swap_span(l) == [_restrict(SparseTensor(l + 2, t))
+                                  for t in _reference_pair_swap_span(l)]
+
+
+@st.composite
+def hook_vectors(draw):
+    l = draw(st.integers(1, 4))
+    m = l + 1
+    keys = [(a, b) + tail for a in range(1, m + 1) for b in range(a, m + 1)
+            for tail in combinations(range(1, m + 1), l)]
+    vec = draw(st.dictionaries(st.sampled_from(keys),
+                               st.integers(-3, 3).filter(bool), max_size=8))
+    return l, vec
+
+
+@given(hook_vectors())
+def test_hook_lowering_matches_expanded_tensor(case):
+    l, vec = case
+    full = _expand(vec, l)
+    assert _restrict(full) == vec
+    for i in range(1, l + 1):
+        for j in range(i, l + 1):
+            assert _hook_lower(vec, i, j + 1) == _restrict(lower_root(full, i, j))
+
+
 def test_young_cap():
     with pytest.raises(ResourceExceeded):
         young_symmetrizer_module(5, 3)
@@ -186,10 +294,9 @@ def test_lowering_closure_cap():
 
 
 def test_divided_lowering_refuses_inexact_division():
-    # residues mod 5 are not a lattice: f^2(3 e1 x e1) = 6 e2 x e2 reads
-    # 1 mod 5, which 2 does not divide
-    v = SparseTensor(2, {(1, 1): 3}, modulus=5)
+    # off the lattice the division by 2 is not exact: f^2(1/2 e1.e1) =
+    # e2.e2, and 2 does not divide 1 (the rational lift of the residue
+    # 3 = 1/2 mod 5, which fails the same way)
     with pytest.raises(ArithmeticError):
-        _divided_lowerings(v, 1, 1)
-    assert [t.data for t in _divided_lowerings(SparseTensor(2, {(1, 1): 3}), 1, 1)] == \
-        [{(2, 1): 3, (1, 2): 3}, {(2, 2): 3}]
+        _hook_divided_lowerings({(1, 1): Fraction(1, 2)}, 1, 2)
+    assert _hook_divided_lowerings({(1, 1): 3}, 1, 2) == [{(1, 2): 3}, {(2, 2): 3}]
