@@ -21,13 +21,11 @@ from .root_system import (
     is_dominant,
     is_restricted,
     rank_of,
-    root_coordinates,
 )
 from .verma_gram import (
     DEFAULT_MONOMIAL_CAP,
     ResourceExceeded,
     irreducible_multiplicity,
-    kostant_count,
 )
 from .weyl_orbits import orbit_size, premet_bound_exceeds, subdominant_weights
 
@@ -156,16 +154,17 @@ def _dim_terms(lam, p, strategy, cap_monomials, cap_value=None):
     Every subdominant mu has multiplicity >= 1 (lam is restricted), so
     the orbit sum, and then the floor with the closed forms filled in and
     1 for every mu left to the Gram engine, can reject lam before any
-    form work.  Only when that floor fits are the deferred spanning sets
-    counted (kostant_count); the Gram cells are then ranked in ascending
-    spanning-set order so that the cheapest blocker aborts first.
+    form work.  Only when that floor fits are the deferred mu ranked, in
+    ascending Weyl multiplicity, which is also the size of the tableau
+    basis the Gram engine ranks, so that the cheapest blocker aborts
+    first.  Under "gram-only" the Weyl table only sets that order.
     """
     mus = subdominant_weights(lam)
     orbits = {mu: orbit_size(mu) for mu in mus}
     if cap_value is not None and sum(orbits.values()) > cap_value:
         return None
 
-    weyl_table = weyl_multiplicity_table(lam) if strategy != "gram-only" else None
+    weyl_table = weyl_multiplicity_table(lam)
     resolved = {}
     deferred = []
     for mu in mus:
@@ -185,15 +184,7 @@ def _dim_terms(lam, p, strategy, cap_monomials, cap_value=None):
     if cap_value is not None and running_floor() > cap_value:
         return None
 
-    deferred = sorted(
-        (kostant_count(root_coordinates(lam, mu), cap_monomials), mu)
-        for mu in deferred)
-    for count, mu in deferred:
-        if count > cap_monomials:
-            raise ResourceExceeded(
-                "spanning set for mu=%s larger than cap %d"
-                % (format_weight(mu), cap_monomials),
-                blocking=tuple(mu))
+    for mu in sorted(deferred, key=lambda mu: (weyl_table[mu], mu)):
         mult = irreducible_multiplicity(lam, mu, p, cap=cap_monomials)
         resolved[mu] = (mult, "gram")
         if cap_value is not None and running_floor() > cap_value:

@@ -1,20 +1,26 @@
-"""Spanning monomials, the contravariant form, and modular weight
-multiplicities.
+"""Spanning monomials, tableau bases, the contravariant form, and
+modular weight multiplicities.
 
 Monomials are divided-power products of lowering operators over the
-positive roots in lexicographic interval order.  The bilinear form is
-evaluated two ways: by explicit straightening against the Chevalley
-commutation relations, or inside a tensor realization built from
-exterior powers of the natural module, whose standard basis is
-orthonormal for the contravariant pairing.  Both give the same integer
-Gram matrix; the test suite cross-checks them.
+positive roots in lexicographic interval order.  Applied to the highest
+weight vector, the monomials of content lam - mu (one per Kostant
+partition) span the mu weight space of the Weyl module's Z-form.  The
+bilinear form is evaluated two ways: by explicit straightening against
+the Chevalley commutation relations, or inside a tensor realization
+built from exterior powers of the natural module, whose standard basis
+is orthonormal for the contravariant pairing.  Both give the same
+integer Gram matrix; the test suite cross-checks them.
 
 The multiplicity of mu in the irreducible head of the Weyl module is
-the rank mod p of the Gram matrix of the full spanning set.  Large
-weight spaces never materialize that matrix: the exact realization
-vectors are reduced mod p into a sparse row-echelon basis on their own
-support, and the form factors through that basis, so the final rank is
-taken on at most dim(weight space) rows rather than one per monomial.
+the rank mod p of the form on that Z-lattice.  Carter and Lusztig (Math.
+Z. 136, 1974) give a Z-basis of the Weyl module indexed by the
+semistandard tableaux of shape lam: the mu weight space has one vector
+f_T per tableau of content mu, as many as the Weyl multiplicity.  A
+Gram matrix on a Z-basis of the lattice has the same nonzero elementary
+divisors as the Gram matrix on any spanning set of it, so its rank mod
+p is the multiplicity for every p, and the work follows the Weyl
+multiplicity instead of the Kostant count.  The test suite checks the
+basis against the full spanning set's Smith form.
 
 Chevalley basis: e_(i,j) is the elementary matrix E_{i,j+1}, f_(i,j) is
 E_{j+1,i}, and coroots are the commutators; every sign below comes from
@@ -40,7 +46,7 @@ PRIME_BOUND = 3317044064679887385961981
 
 
 class ResourceExceeded(Exception):
-    """A spanning set or matrix passed its configured cap."""
+    """A spanning set, tableau basis or matrix passed its configured cap."""
 
     def __init__(self, message, blocking=None):
         super().__init__(message)
@@ -101,6 +107,11 @@ def kostant_count(c, cap=None):
         if i == j and i > 1 and rem[i - 2]:
             return
         smax = min(rem[i - 1:j])
+        if not smax:
+            # every later root (i, j') covers the same spent coordinate:
+            # go straight to the first root starting at i+1
+            rec(idx + l - j + 1, total)
+            return
         rec(idx + 1, total)
         for s in range(1, smax + 1):
             for k in range(i - 1, j):
@@ -144,6 +155,9 @@ def monomials_for_vector(c, cap=None):
         if i == j and i > 1 and rem[i - 2]:  # as in kostant_count
             return
         smax = min(rem[i - 1:j])
+        if not smax:  # as in kostant_count
+            rec(idx + l - j + 1, total)
+            return
         rec(idx + 1, total)
         for s in range(1, smax + 1):
             for k in range(i - 1, j):
@@ -158,6 +172,84 @@ def monomials_for_vector(c, cap=None):
     if cap is not None and len(out) > cap:
         raise ResourceExceeded(
             "spanning set larger than cap %d for content %r" % (cap, tuple(c)))
+    return out
+
+
+def tableau_monomials(lam, mu, cap=None):
+    """One divided-power monomial f_T per semistandard tableau T of shape
+    lam and content mu: f_T is the product of f_(i,j)^(t_ij) over roots in
+    ascending lexicographic order, where t_ij counts the entries j+1 in
+    row i of T.
+
+    Tableaux are built from the outer shape inward, stripping off the
+    largest remaining entry as a horizontal strip (a Gelfand-Tsetlin
+    pattern).  A shape of k rows is kept only when it dominates the sorted
+    content of the entries 1..k, the condition for a tableau of that shape
+    and content to exist, so every partial pattern completes.  Raises
+    ValueError when mu is not subdominant to lam, ResourceExceeded past
+    cap.
+    """
+    c = root_coordinates(lam, mu)
+    if c is None:
+        raise ValueError("%r is not subdominant to %r" % (mu, lam))
+    shape = epsilon_coordinates(lam)
+    c = (0,) + c + (0,)
+    content = [shape[k] - c[k + 1] + c[k] for k in range(len(shape))]
+    if min(content) < 0:
+        return []
+    # floors[k][i]: the i+1 largest of content[:k] summed, the least that
+    # rows 1..i+1 of a k-row shape holding entries 1..k can contain
+    floors = []
+    for k in range(len(shape)):
+        acc, sums = 0, []
+        for x in sorted(content[:k], reverse=True):
+            acc += x
+            sums.append(acc)
+        floors.append(sums)
+    out = []
+    factors = []
+
+    def inner_shapes(k, nu):
+        # the shapes x of the entries < k inside nu, the shape of the
+        # entries <= k: x interlaces nu and holds content[:k-1]
+        total, floor = sum(content[:k - 1]), floors[k - 1]
+        suffix = [0] * (k + 1)
+        for i in range(k - 1, -1, -1):
+            suffix[i] = suffix[i + 1] + nu[i]
+        shapes = []
+        x = [0] * (k - 1)
+
+        def row(i, acc):
+            if i == k - 1:
+                shapes.append(tuple(x))
+                return
+            # the rows after i hold between suffix[i+2] and
+            # suffix[i+1] - nu[k-1] cells
+            lo = max(nu[i + 1], floor[i] - acc, total - acc - suffix[i + 1] + nu[k - 1])
+            hi = min(nu[i], total - acc - suffix[i + 2])
+            for xi in range(lo, hi + 1):
+                x[i] = xi
+                row(i + 1, acc + xi)
+
+        row(0, 0)
+        return shapes
+
+    def strip(k, nu):
+        if k == 1:
+            if cap is not None and len(out) >= cap:
+                raise ResourceExceeded(
+                    "tableau basis for mu=%r larger than cap %d" % (tuple(mu), cap),
+                    blocking=tuple(mu))
+            out.append(tuple(sorted(factors)))
+            return
+        for x in inner_shapes(k, nu):
+            # row i+1 keeps nu[i] - x[i] entries k: the root (i+1, k-1)
+            added = [((i + 1, k - 1), nu[i] - xi) for i, xi in enumerate(x) if nu[i] > xi]
+            factors.extend(added)
+            strip(k - 1, x)
+            del factors[len(factors) - len(added):]
+
+    strip(len(shape), shape)
     return out
 
 
@@ -321,78 +413,30 @@ def _wedge_move(subset, i, t):
 class TensorRealization:
     """Model of the cyclic highest-weight span inside a tensor product of
     exterior powers: one wedge-power factor per unit of each fundamental
-    coefficient.
+    coefficient.  An element is a tuple of factor groups, one per nonzero
+    coefficient a_k, each an ordered tuple of a_k sorted k-subsets."""
 
-    Factor groups listed in `compress` store their copies as multisets
-    (symmetric divided basis) instead of ordered tuples; the standard
-    basis then has squared norms 1/(product of repetition factorials),
-    which is harmless exactly when those factorials avoid the working
-    characteristic.
-    """
-
-    def __init__(self, lam, compress=frozenset()):
+    def __init__(self, lam):
         self.lam = tuple(lam)
-        self.l = len(lam)
-        self.groups = []
-        for k in range(1, self.l + 1):
-            a = lam[k - 1]
-            if a:
-                self.groups.append((k, a, k in compress))
 
     def top_row(self):
         return epsilon_coordinates(self.lam)
 
     def top_element(self):
-        parts = []
-        for k, a, _ in self.groups:
-            top = tuple(range(1, k + 1))
-            parts.append((top,) * a)
-        return tuple(parts)
-
-    def norm_denominator(self, element):
-        """Product of repetition factorials over compressed groups."""
-        out = 1
-        for (k, a, compressed), part in zip(self.groups, element):
-            if not compressed:
-                continue
-            run = 1
-            for t in range(1, len(part) + 1):
-                if t < len(part) and part[t] == part[t - 1]:
-                    run += 1
-                else:
-                    out *= math.factorial(run)
-                    run = 1
-        return out
+        return tuple((tuple(range(1, k + 1)),) * a for k, a in enumerate(self.lam, 1) if a)
 
     def moves(self, root, element):
         """One lowering step: list of (element', coeff)."""
         i, j = root
         t = j + 1
         out = []
-        for g, ((k, a, compressed), part) in enumerate(zip(self.groups, element)):
-            if compressed:
-                seen = set()
-                for pos, sub in enumerate(part):
-                    if sub in seen:
-                        continue
-                    seen.add(sub)
-                    newset, sign = _wedge_move(sub, i, t)
-                    if newset is None:
-                        continue
-                    mult = sum(1 for x in part if x == newset)
-                    rest = list(part)
-                    del rest[pos]
-                    rest.append(newset)
-                    rest.sort()
-                    el2 = element[:g] + (tuple(rest),) + element[g + 1:]
-                    out.append((el2, sign * (mult + 1)))
-            else:
-                for pos, sub in enumerate(part):
-                    newset, sign = _wedge_move(sub, i, t)
-                    if newset is None:
-                        continue
-                    el2 = element[:g] + (part[:pos] + (newset,) + part[pos + 1:],) + element[g + 1:]
-                    out.append((el2, sign))
+        for g, part in enumerate(element):
+            for pos, sub in enumerate(part):
+                newset, sign = _wedge_move(sub, i, t)
+                if newset is None:
+                    continue
+                el2 = element[:g] + (part[:pos] + (newset,) + part[pos + 1:],) + element[g + 1:]
+                out.append((el2, sign))
         return out
 
     def lower_row(self, root, row):
@@ -471,6 +515,17 @@ def _entries_of(A):
     return [list(r) for r in A]
 
 
+def _form_on(vecs):
+    """Gram matrix of exact realization vectors: the standard basis is
+    orthonormal, so each entry is a dot product."""
+    rows = [[0] * len(vecs) for _ in vecs]
+    for a, va in enumerate(vecs):
+        for b, vb in enumerate(vecs[:a + 1]):
+            small, big = (va, vb) if len(va) <= len(vb) else (vb, va)
+            rows[a][b] = rows[b][a] = sum(cf * big.get(el, 0) for el, cf in small.items())
+    return rows
+
+
 def gram_matrix(lam, mu, cap=DEFAULT_MONOMIAL_CAP, method="auto"):
     """Contravariant Gram matrix on spanning_monomials(lam, mu).
 
@@ -495,16 +550,8 @@ def gram_matrix(lam, mu, cap=DEFAULT_MONOMIAL_CAP, method="auto"):
                     raise ArithmeticError("straightened Gram not symmetric at "
                                           "%r, %r: (%d, %d)" % (lam, mu, a, b))
     elif method == "auto":
-        real = TensorRealization(lam)
-        calc = _ImageCalculator(real)
-        vecs = [calc.image(mon)[1] for mon in mons]
-        rows = []
-        for va in vecs:
-            row = []
-            for vb in vecs:
-                small, big = (va, vb) if len(va) <= len(vb) else (vb, va)
-                row.append(sum(cf * big.get(el, 0) for el, cf in small.items()))
-            rows.append(row)
+        calc = _ImageCalculator(TensorRealization(lam))
+        rows = _form_on([calc.image(mon)[1] for mon in mons])
     else:
         raise ValueError("unknown gram method %r" % (method,))
     return GramMatrix(tuple(lam), tuple(mu), mons, rows)
@@ -513,8 +560,7 @@ def gram_matrix(lam, mu, cap=DEFAULT_MONOMIAL_CAP, method="auto"):
 def gram_on_combinations(lam, mu, combinations, cap=DEFAULT_MONOMIAL_CAP):
     """Form matrix on explicit integer combinations of spanning monomials;
     each combination is a dict monomial -> coefficient."""
-    real = TensorRealization(lam)
-    calc = _ImageCalculator(real)
+    calc = _ImageCalculator(TensorRealization(lam))
     vecs = []
     for combo in combinations:
         acc = {}
@@ -523,13 +569,7 @@ def gram_on_combinations(lam, mu, combinations, cap=DEFAULT_MONOMIAL_CAP):
             for el, cf in vec.items():
                 acc[el] = acc.get(el, 0) + coeff * cf
         vecs.append({el: cf for el, cf in acc.items() if cf})
-    n = len(vecs)
-    out = []
-    for a in range(n):
-        va = vecs[a]
-        out.append([sum(cf * vecs[b].get(el, 0) for el, cf in va.items())
-                    for b in range(n)])
-    return out
+    return _form_on(vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -673,106 +713,41 @@ def smith_normal_form(A):
 # Modular multiplicities
 
 
-def _echelon_insert(basis, vec, p):
-    """Reduce vec mod p against basis, a dict pivot element -> row whose
-    pivot is its smallest element, scaled to 1; keep what is left as a new
-    row."""
-    v = {}
-    for el, cf in vec.items():
-        cf %= p
-        if cf:
-            v[el] = cf
-    while v:
-        piv = min(v)
-        x = v[piv]
-        row = basis.get(piv)
-        if row is None:
-            inv = pow(x, -1, p)
-            basis[piv] = {el: cf * inv % p for el, cf in v.items()}
-            return
-        for el, cf in row.items():
-            y = (v.get(el, 0) - x * cf) % p
-            if y:
-                v[el] = y
-            else:
-                del v[el]
-
-
-def _stream_rank(lam, mu, p):
-    c = root_coordinates(lam, mu)
-    compress = frozenset(k for k in range(1, len(lam) + 1)
-                         if 0 < lam[k - 1] < p)
-    real = TensorRealization(lam, compress)
-    roots = positive_roots(len(lam))
-    nroots = len(roots)
-    rem = list(c)
-    target = list(real.top_row())
-    for i, ci in enumerate(c):
-        target[i] -= ci
-        target[i + 1] += ci
-    target = tuple(target)
-    basis = {}
-
-    def rec(idx, row, vec, total):
-        if total == 0:
-            if row != target:
-                raise ArithmeticError("leaf weight row %r, expected %r at %r, %r"
-                                      % (row, target, lam, mu))
-            _echelon_insert(basis, vec, p)
-            return
-        if idx == nroots:
-            return
-        i, j = roots[idx]
-        if i == j and i > 1 and rem[i - 2]:  # as in kostant_count
-            return
-        smax = min(rem[i - 1:j])
-        rec(idx + 1, row, vec, total)
-        cur_row, cur = row, vec
-        for s in range(1, smax + 1):
-            cur_row, cur = real.apply_f_sparse(roots[idx], cur_row, cur)
-            if s > 1:
-                _divide_exact(cur, s)
-            for k in range(i - 1, j):
-                rem[k] -= 1
-            rec(idx + 1, cur_row, cur, total - s * (j - i + 1))
-        for k in range(i - 1, j):
-            rem[k] += smax
-
-    rec(0, real.top_row(), {real.top_element(): 1}, sum(c))
-    # the standard basis of a compressed group has squared norm
-    # 1/norm_denominator, a unit mod p because compressed coefficients are < p
-    weighted = [{el: cf * pow(real.norm_denominator(el), -1, p) % p
-                 for el, cf in row.items()} for row in basis.values()]
-    G = [[sum(cf * rb.get(el, 0) for el, cf in wa.items()) % p
-          for rb in basis.values()] for wa in weighted]
-    return rank_mod_p(G, p)
-
-
 def irreducible_multiplicity(lam, mu, p, cap=DEFAULT_MONOMIAL_CAP, method="auto"):
     """Multiplicity of mu in the irreducible head of the Weyl module of
     highest weight lam in characteristic p: the rank mod p of the
-    contravariant Gram matrix on the full spanning set.
+    contravariant form on the mu weight space of the Weyl module's
+    Z-form.
 
-    method "auto" streams exact realization vectors into a sparse mod-p
-    echelon basis on their support and ranks the form on that basis;
-    "dense" and "straighten" materialize the Gram matrix first.  Raises
-    ResourceExceeded when the spanning set passes cap, ValueError unless
-    p is a prime below PRIME_BOUND.
+    method "auto" ranks the form on the Carter-Lusztig basis, one
+    monomial per semistandard tableau (tableau_monomials), with cap
+    bounding the number of tableaux; the Gram matrix of a Z-basis has the
+    nonzero elementary divisors of the Gram matrix of any spanning set,
+    so its rank mod p is the same.  "dense" and "straighten" rank the
+    Gram matrix of the full spanning set, with cap bounding the number of
+    monomials.  Raises ResourceExceeded past cap, ValueError unless p is
+    a prime below PRIME_BOUND.
     """
     require_prime(p)
-    c = root_coordinates(lam, mu)
-    if c is None:
-        raise ValueError("%r is not subdominant to %r" % (mu, lam))
     if method in ("dense", "straighten"):
         gm = gram_matrix(lam, mu, cap=cap,
                          method="auto" if method == "dense" else method)
         return rank_mod_p(gm, p)
-    count = kostant_count(c, cap)
-    if count > cap:
-        raise ResourceExceeded(
-            "spanning set for mu=%r larger than cap %d" % (tuple(mu), cap),
-            blocking=tuple(mu))
-    return _stream_rank(tuple(lam), tuple(mu), p)
+    mons = tableau_monomials(lam, mu, cap)
+    calc = _ImageCalculator(TensorRealization(lam))
+    target = list(calc.real.top_row())
+    for i, ci in enumerate(root_coordinates(lam, mu)):
+        target[i] -= ci
+        target[i + 1] += ci
+    target = tuple(target)
+    vecs = []
+    for mon in mons:
+        row, vec = calc.image(mon)
+        if row != target:
+            raise ArithmeticError("monomial %r lands on weight row %r, expected %r "
+                                  "at %r, %r" % (mon, row, target, lam, mu))
+        vecs.append(vec)
+    return rank_mod_p(_form_on(vecs), p)
 
 
 # ---------------------------------------------------------------------------

@@ -224,8 +224,8 @@ def test_criterion_4_oracle_engine_equivalence():
 
     Small spanning sets share one straightened integer Gram matrix across
     the characteristics that request the cell; the large sets go through
-    the streamed rank, whose cost tracks the spanning set rather than the
-    ambient tensor space."""
+    the rank on the tableau basis, whose cost tracks the Weyl multiplicity
+    rather than the spanning set."""
     failures = []
     checked = 0
     cells = {}

@@ -1,7 +1,11 @@
+import json
+from itertools import product
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from typea_irreps.freudenthal import weyl_multiplicity
+from typea_irreps.freudenthal import weyl_multiplicity, weyl_multiplicity_table
 from typea_irreps.root_system import root_coordinates
 from typea_irreps.verma_gram import (
     ResourceExceeded,
@@ -15,7 +19,9 @@ from typea_irreps.verma_gram import (
     rational_rank,
     smith_normal_form,
     spanning_monomials,
+    tableau_monomials,
 )
+from typea_irreps.weyl_orbits import subdominant_weights
 
 weights = st.integers(2, 4).flatmap(
     lambda l: st.tuples(*[st.integers(0, 2)] * l))
@@ -159,7 +165,6 @@ def test_irreducible_multiplicity(lam, mu, p, m):
 
 
 def test_irreducible_multiplicity_methods_agree():
-    # the second cell repeats wedge factors: compressed at p = 7 only
     for lam, mu, primes in (
             ((1, 1, 1), (0, 1, 0), (2, 3, 5)),
             ((0, 3, 0, 0, 0, 0, 0, 3, 0), (1, 0, 0, 0, 1, 0, 2, 0, 0), (2, 3, 7))):
@@ -177,6 +182,60 @@ def test_irreducible_multiplicity_rejects_composite_char():
               318665857834031151167461, 10 ** 25 + 13):
         with pytest.raises(ValueError):
             irreducible_multiplicity((1, 1, 0), (0, 0, 1), p)
+
+
+def _w(l, *pairs):
+    out = [0] * l
+    for node, a in pairs:
+        out[node - 1] += a
+    return tuple(out)
+
+
+@pytest.mark.parametrize("lam,mu,p", [
+    (_w(19, (1, 4), (19, 1)), _w(19, (3, 1)), 5),
+    (_w(19, (1, 1), (18, 2)), _w(19, (17, 1)), 3),
+    (_w(20, (1, 1), (19, 2)), _w(20, (18, 1)), 3),
+])
+def test_multiplicity_on_large_spanning_sets(lam, mu, p):
+    # 327680-655360 spanning monomials, past any spanning-set cap tried;
+    # 19-37 tableaux
+    assert irreducible_multiplicity(lam, mu, p) == 19
+
+
+@given(st.integers(1, 5).flatmap(lambda l: st.tuples(*[st.integers(0, 2)] * l)),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_tableau_count_equals_weyl_multiplicity(lam, data):
+    mus = subdominant_weights(lam)
+    table = weyl_multiplicity_table(lam)
+    for mu in data.draw(st.lists(st.sampled_from(mus), min_size=1, max_size=4)):
+        mons = tableau_monomials(lam, mu)
+        assert len(mons) == table[mu] == weyl_multiplicity(lam, mu)
+        assert len(set(mons)) == len(mons)
+
+
+def _basis_cells():
+    for l in (1, 2, 3):
+        for lam in product(range(3), repeat=l):
+            for mu in subdominant_weights(lam):
+                yield lam, mu
+    pool = Path(__file__).resolve().parents[1] / "perfbench" / "cells.json"
+    with open(pool) as fh:
+        cells = json.load(fh)["gram"]
+    yield from sorted({(tuple(c["lam"]), tuple(c["mu"]))
+                       for c in cells if c["monomials"] <= 40})
+
+
+def test_tableau_monomials_are_a_lattice_basis():
+    # a sublattice of index k has k^2 times the lattice's Gram determinant,
+    # so the tableau Gram has the nonzero divisors of the full spanning
+    # set's Gram only if its images span the same lattice; this also pins
+    # the ascending root order of the factors (reverse order fails)
+    for lam, mu in _basis_cells():
+        full = smith_normal_form(gram_matrix(lam, mu))
+        basis = [{mon: 1} for mon in tableau_monomials(lam, mu)]
+        tableau = smith_normal_form(gram_on_combinations(lam, mu, basis))
+        assert tableau == [d for d in full if d], (lam, mu)
 
 
 def test_cap_raises_with_blocking():
